@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from repro import Domain, build_mesh, obs
-from repro.analysis import measured_kernel_points
 from repro.core.matvec import MapBasedMatVec, TraversalPlan, traversal_matvec
 from repro.geometry import SphereCarve
-from repro.kernels import available_backends, backend_names, use_backend
 from repro.parallel import (
     SimComm,
     analyze_partition,
@@ -83,83 +81,6 @@ def test_traversal_vs_map_ablation(benchmark, mesh):
     assert np.allclose(y_tr, y_map, atol=1e-10)
     assert phases["matvec.top_down"]["duration"] > 0
     assert phases["matvec.leaf"]["duration"] > 0
-
-
-def test_backend_ablation(mesh):
-    """Kernel-backend ablation on the serial traversal MATVEC.
-
-    Times each registered :mod:`repro.kernels` backend on the same
-    traversal plan, asserts same-backend runs are bit-identical and
-    cross-backend results agree to 1e-10, records the achieved
-    fraction-of-peak per kernel per backend into the bench.v1 sidecar,
-    and requires the best non-default backend to beat the numpy
-    reference by >= 1.5x (the tentpole acceptance bar)."""
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(mesh.n_nodes)
-    plan = TraversalPlan(mesh)
-    mv = MapBasedMatVec(mesh)
-    repeats = 3
-    avail = available_backends()
-
-    t = ResultTable(
-        "backend_ablation_matvec",
-        f"Kernel backends: serial traversal MATVEC "
-        f"({mesh.n_elem} elements, {mesh.n_nodes} DOFs, {repeats} applies)",
-    )
-    results, timings = {}, {}
-    obs.reset()
-    obs.enable()
-    try:
-        for name in backend_names():
-            if not avail[name]:
-                t.row(f"{name:8s}: skipped (backend unavailable)")
-                t.record(column="backend", backend=name, available=False)
-                continue
-            with use_backend(name):
-                y0 = traversal_matvec(mesh, u, plan=plan)  # warm-up / jit
-                y1 = traversal_matvec(mesh, u, plan=plan)
-                assert y0.tobytes() == y1.tobytes(), (
-                    f"{name}: same-backend runs are not bit-identical"
-                )
-                t0 = time.perf_counter()
-                for _ in range(repeats):
-                    y1 = traversal_matvec(mesh, u, plan=plan)
-                dt = (time.perf_counter() - t0) / repeats
-                mv(u)  # exercise gather/elem_apply/scatter counters too
-            results[name], timings[name] = y1, dt
-            t.row(f"{name:8s}: {dt * 1e3:9.3f} ms/apply")
-            t.record(
-                column="backend", backend=name, available=True,
-                seconds_per_apply=dt, repeats=repeats,
-            )
-    finally:
-        obs.disable()
-
-    for name, y in results.items():
-        assert np.allclose(y, results["numpy"], atol=1e-10), (
-            f"{name} disagrees with numpy beyond tolerance"
-        )
-    # achieved fraction-of-peak per kernel per backend (measured by the
-    # facade counters of the runs above)
-    for m in measured_kernel_points():
-        t.row(
-            f"  {m.kernel:10s} [{m.backend:7s}] AI={m.arithmetic_intensity:6.3f} "
-            f"achieved={m.achieved_gflops / 1e9:7.3f} GFLOP/s "
-            f"fraction-of-peak={m.fraction_of_peak:.4f}"
-        )
-        t.record(column="measured_kernel", **m.to_doc())
-
-    best_name, best_dt = min(
-        ((n, dt) for n, dt in timings.items() if n != "numpy"),
-        key=lambda kv: kv[1],
-    )
-    speedup = timings["numpy"] / best_dt
-    t.row(f"best non-default backend: {best_name} ({speedup:.2f}x vs numpy)")
-    t.record(column="best_backend", backend=best_name, speedup=speedup)
-    t.save()
-    assert speedup >= 1.5, (
-        f"best backend {best_name} only {speedup:.2f}x over numpy (< 1.5x)"
-    )
 
 
 def test_plan_reuse_vs_rebuild(mesh):

@@ -79,24 +79,16 @@ def analyze_kernel(
     mesh: IncompleteMesh,
     machine: MachineModel = FRONTERA,
     repeats: int = 5,
-    backend: str | None = None,
 ) -> RooflinePoint:
-    """Place the mesh's Poisson elemental kernel on the roofline.
-
-    ``backend`` selects the :mod:`repro.kernels` backend the timed
-    applies execute under (None = the session default).
-    """
-    from ..kernels import use_backend
-
+    """Place the mesh's Poisson elemental kernel on the roofline."""
     p, dim = mesh.p, mesh.dim
     mv = MapBasedMatVec(mesh)
     u = np.linspace(0.0, 1.0, mesh.n_nodes)
-    with use_backend(backend):
-        mv(u)  # warm up
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            mv(u)
-        dt = (time.perf_counter() - t0) / repeats
+    mv(u)  # warm up
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        mv(u)
+    dt = (time.perf_counter() - t0) / repeats
     dense_flops = mv.flops()
     tens_flops = tensorised_apply_flops(p, dim) * mesh.n_elem
     depth = float(mesh.leaves.levels.mean())
@@ -131,11 +123,10 @@ def roofline_ceilings(
 
 @dataclass
 class MeasuredKernel:
-    """One kernel × backend cell measured by the :mod:`repro.kernels`
-    facade counters — the *achieved* side of predicted-vs-achieved."""
+    """One kernel measured by the :mod:`repro.kernels` counters — the
+    *achieved* side of predicted-vs-achieved."""
 
     kernel: str
-    backend: str
     calls: int
     flops: float
     bytes: float
@@ -187,16 +178,16 @@ def measured_kernel_points(
     machine: MachineModel = FRONTERA,
     peak_flops: float = 86.4e9,
 ) -> list[MeasuredKernel]:
-    """Achieved roofline points from the kernel-facade counters.
+    """Achieved roofline points from the :mod:`repro.kernels` counters.
 
     ``source`` may be None (the live metrics registry), an obs
     ``summary()`` / run-artifact document, or a path to a written
-    artifact.  Every ``kernels.*{backend=,kernel=}`` counter family is
-    grouped into one :class:`MeasuredKernel` per (kernel, backend) with
-    measured AI, achieved GFLOP/s, the roofline ceiling at that AI, and
-    the achieved fraction of that ceiling."""
+    artifact.  Every ``kernels.*{kernel=}`` counter family is grouped
+    into one :class:`MeasuredKernel` per kernel with measured AI,
+    achieved GFLOP/s, the roofline ceiling at that AI, and the achieved
+    fraction of that ceiling."""
     counters = _counters_of(source)
-    cells: dict[tuple[str, str], dict] = {}
+    cells: dict[str, dict] = {}
     for key, val in counters.items():
         base, labels = _parse_counter_key(key)
         if not base.startswith("kernels."):
@@ -204,10 +195,9 @@ def measured_kernel_points(
         field = base.split(".", 1)[1]
         if field not in ("calls", "flops", "bytes", "seconds"):
             continue
-        kb = (labels.get("kernel", "?"), labels.get("backend", "?"))
-        cells.setdefault(kb, {})[field] = float(val)
+        cells.setdefault(labels.get("kernel", "?"), {})[field] = float(val)
     out = []
-    for (kernel, backend), c in sorted(cells.items()):
+    for kernel, c in sorted(cells.items()):
         flops = c.get("flops", 0.0)
         nbytes = c.get("bytes", 0.0)
         secs = c.get("seconds", 0.0)
@@ -217,7 +207,6 @@ def measured_kernel_points(
         out.append(
             MeasuredKernel(
                 kernel=kernel,
-                backend=backend,
                 calls=int(c.get("calls", 0)),
                 flops=flops,
                 bytes=nbytes,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..kernels import api as kernels
+from .. import kernels
 from ..obs import span
 from .mesh import IncompleteMesh
 from .plan import operator_context
@@ -46,13 +46,8 @@ def elemental_blocks(mesh: IncompleteMesh, kind="stiffness", nquad=None) -> np.n
 
 
 def assemble(mesh: IncompleteMesh, kind="stiffness", blocks=None) -> sp.csr_matrix:
-    """Assembled global sparse operator (CSR).
-
-    Executes through the :mod:`repro.kernels` facade: the default numpy
-    backend runs the BSR triple product (bit-identical to the
-    historical path); the einsum backend emits vectorized §3.6 triplets
-    from the flat slot table.
-    """
+    """Assembled global sparse operator (CSR), via the BSR triple
+    product of :func:`repro.kernels.assemble`."""
     with span("assembly") as osp:
         if blocks is None:
             blocks = elemental_blocks(mesh, kind)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import api as kernels
+from .. import kernels
 from ..obs import span
 from .mesh import IncompleteMesh
 from .octant import max_level
@@ -138,11 +138,6 @@ def traversal_matvec(
 
     The top-down / leaf / bottom-up phase breakdown is published as
     merge spans under a ``matvec.traversal`` span when tracing is on.
-
-    Backends with a *flat* traversal (einsum, numba — see
-    :mod:`repro.kernels`) execute the same slot table without the tree
-    recursion; the default numpy backend runs the recursive reference
-    walk below, bit-identical to the pre-kernel-layer code.
     """
     ctx = operator_context(mesh)
     if plan is None:
@@ -159,12 +154,6 @@ def traversal_matvec(
     m = max_level(dim)
     p = mesh.p
     e_lo, e_hi = owned_range if owned_range is not None else (0, mesh.n_elem)
-
-    flat = kernels.traversal_apply(
-        plan, np.asarray(u, float), ker, pw, e_lo, e_hi
-    )
-    if flat is not None:
-        return flat
 
     out = np.zeros_like(u)
     two_p = 2 * p

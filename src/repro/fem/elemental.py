@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..kernels import api as kernels
+from .. import kernels
 from .basis import LagrangeBasis
 from .quadrature import tensor_rule
 
@@ -56,10 +56,8 @@ class ReferenceElement:
         self.D_ref = np.einsum("q,qik,qjl->klij", w, self.G, self.G)
 
     # -- batched matrix-free applications ------------------------------
-    # routed through the repro.kernels facade so MapBasedMatVec, the
-    # distributed MATVEC and the fem operators all honour the active
-    # backend (the default numpy backend evaluates the exact historical
-    # expressions, bit-identically)
+    # routed through repro.kernels so MapBasedMatVec, the distributed
+    # MATVEC and the fem operators all publish kernel counters
 
     def apply_stiffness(self, u_loc: np.ndarray, h: np.ndarray) -> np.ndarray:
         """K_e u_e for all elements. ``u_loc`` is ``(n_elem, npe)``."""

@@ -49,6 +49,7 @@ def sbm_terms(
     alpha: float = 10.0,
     nquad: int | None = None,
     include_domain_faces: bool = True,
+    domain=None,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """SBM bilinear matrix and load vector on the surrogate boundary.
 
@@ -58,6 +59,9 @@ def sbm_terms(
     the cube), faces of retained elements on the cube boundary also
     belong to the surrogate boundary; ``include_domain_faces`` adds them
     (disable for problems where the cube boundary carries its own BC).
+    ``domain`` is the true geometry (default ``mesh.domain``); several
+    geometries can carve the same leaves, so a mesh shared between
+    them carries only the first one's domain.
     """
     dim = mesh.dim
     p = mesh.p
@@ -73,8 +77,9 @@ def sbm_terms(
         )
     n_elem = mesh.n_elem
     h_all = operator_context(mesh).h
-    lo_all, _ = mesh.leaves.physical_bounds(mesh.domain.scale)
-    pred = mesh.domain.predicate
+    domain = domain if domain is not None else mesh.domain
+    lo_all, _ = mesh.leaves.physical_bounds(domain.scale)
+    pred = domain.predicate
 
     blocks = np.zeros((n_elem, npe, npe))
     rhs_loc = np.zeros((n_elem, npe))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .. import kernels
 from ..core.mesh import IncompleteMesh
 from ..core.plan import mesh_fingerprint, operator_context
 from ..obs import set_gauge, span
@@ -229,20 +230,16 @@ class ExchangePlan:
         )
 
     def gather_rank(self, r: int, u_loc_vec: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s element gather through the active kernel backend:
-        local ghosted vector → ``(n_owned_elem, npe)`` slot matrix."""
-        from ..kernels import api as kernels
-
+        """Rank ``r``'s element gather: local ghosted vector →
+        ``(n_owned_elem, npe)`` slot matrix."""
         lo, hi = self.layout.splits[r], self.layout.splits[r + 1]
         return kernels.gather(self.g_loc[r], u_loc_vec).reshape(
             hi - lo, self.npe
         )
 
     def scatter_rank(self, r: int, w_elem: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s bottom-up accumulation through the active kernel
-        backend: elemental results → rank-local node contributions."""
-        from ..kernels import api as kernels
-
+        """Rank ``r``'s bottom-up accumulation: elemental results →
+        rank-local node contributions."""
         return kernels.scatter(self.g_loc_T[r], w_elem.reshape(-1))
 
     def nbytes(self) -> int:

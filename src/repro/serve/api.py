@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -150,13 +151,20 @@ class SolveRequest:
     # amr-only parameters (see repro.amr.loop.amr_solve)
     amr_cycles: int = 4
     amr_theta: float = 0.5
-    #: kernel backend override (repro.kernels); None = server default
-    backend: str | None = None
 
     def validate(self) -> None:
         if self.pde not in PDE_KINDS:
             raise ValueError(f"pde must be one of {PDE_KINDS}, got {self.pde!r}")
-        canonical_geometry(self.geometry)
+        geo = canonical_geometry(self.geometry)
+        numbers = [("tol", self.tol), ("f", self.f), ("g", self.g),
+                   ("kappa", self.kappa), ("dt", self.dt),
+                   ("amr_theta", self.amr_theta)]
+        numbers += [("velocity", c) for c in self.velocity]
+        numbers += [(f"geometry.{k}", c) for k, v in geo.items()
+                    if k != "shape" for c in np.ravel(v).tolist()]
+        for name, v in numbers:
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not (0 < self.base_level <= self.boundary_level):
             raise ValueError("need 0 < base_level <= boundary_level")
         if self.p not in (1, 2):
@@ -177,20 +185,6 @@ class SolveRequest:
                 raise ValueError("amr_cycles must be non-negative")
             if not (0.0 < self.amr_theta <= 1.0):
                 raise ValueError("amr_theta must be in (0, 1]")
-        if self.backend is not None:
-            from ..kernels import available_backends
-
-            avail = available_backends()
-            if self.backend not in avail:
-                raise ValueError(
-                    f"unknown kernel backend {self.backend!r}; "
-                    f"known: {sorted(avail)}"
-                )
-            if not avail[self.backend]:
-                raise ValueError(
-                    f"kernel backend {self.backend!r} is not available "
-                    "on this server"
-                )
 
     # -- canonical documents and digests --------------------------------
 
@@ -198,9 +192,6 @@ class SolveRequest:
         doc = {"schema": REQ_SCHEMA_ID}
         for fld in fields(self):
             v = getattr(self, fld.name)
-            if fld.name == "backend" and v is None:
-                # omitted so pre-backend request digests are unchanged
-                continue
             if fld.name == "geometry":
                 v = canonical_geometry(v)
             elif fld.name == "velocity":
@@ -260,11 +251,6 @@ class SolveRequest:
         elif self.pde == "amr":
             doc["amr_cycles"] = self.amr_cycles
             doc["amr_theta"] = float(self.amr_theta)
-        if self.backend is not None:
-            # different kernel backends must not share a solve batch:
-            # cross-backend results are only tolerance-equal, and one
-            # batch executes under a single use_backend() scope
-            doc["backend"] = self.backend
         return doc
 
     @property

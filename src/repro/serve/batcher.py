@@ -42,7 +42,7 @@ from ..obs import span
 from ..resilience.faults import SolverBreakdown
 from ..solvers.krylov import cg
 from ..solvers.precond import jacobi
-from .api import SolveRequest, solution_digest
+from .api import SolveRequest, build_domain, solution_digest
 from .cache import CacheEntry
 
 __all__ = ["BatchOutcome", "build_entry", "ensure_factor", "solve_batch"]
@@ -132,19 +132,25 @@ class _PoissonFactor:
 
 
 class _SbmFactor:
-    """Shifted-Boundary-Method Poisson, LU-factorized once per mesh."""
+    """Shifted-Boundary-Method Poisson, LU-factorized once per batch key.
+
+    The SBM terms depend on the true boundary, so they are built against
+    the request's own ``domain``: geometries that carve the same leaves
+    share one cached mesh, whose ``mesh.domain`` is the first one's.
+    """
 
     kind = "sbm"
 
-    def __init__(self, mesh, alpha: float = 2.0):
+    def __init__(self, mesh, domain, alpha: float = 2.0):
         from ..fem.sbm import sbm_terms
 
         A = assemble(mesh, kind="stiffness")
         ones = lambda pts: np.ones(len(pts))  # noqa: E731
-        A_s, bs_unit = sbm_terms(mesh, ones, alpha=alpha)
+        A_s, bs_unit = sbm_terms(mesh, ones, alpha=alpha, domain=domain)
         A = (A + A_s).tocsr()
         # only the true cube boundary stays strongly imposed
-        self.fixed = mesh.nodes.domain_boundary & ~mesh.nodes.carved_node
+        carved = domain.carved_points(mesh.node_coords())
+        self.fixed = mesh.nodes.domain_boundary & ~carved
         self.free = np.flatnonzero(~self.fixed)
         fixed_idx = np.flatnonzero(self.fixed)
         self.Aff = A[np.ix_(self.free, self.free)].tocsr()
@@ -250,7 +256,6 @@ class _AmrFactor:
 
     def __init__(self, request: SolveRequest):
         from ..amr import amr_solve
-        from .api import build_domain
 
         result = amr_solve(
             build_domain(request.geometry),
@@ -296,7 +301,7 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
         if request.pde == "poisson":
             factor = _PoissonFactor(entry.mesh)
         elif request.pde == "sbm":
-            factor = _SbmFactor(entry.mesh)
+            factor = _SbmFactor(entry.mesh, build_domain(request.geometry))
         elif request.pde == "transport":
             factor = _TransportFactor(entry.mesh, request)
         elif request.pde == "amr":

@@ -26,7 +26,6 @@ import hashlib
 
 import numpy as np
 
-from ..kernels import use_backend
 from ..obs import Histogram
 from ..obs import add as obs_add
 from ..obs import observe as obs_observe
@@ -305,9 +304,8 @@ class SolverService:
                         )
             if degraded:
                 obs_add("serve.degraded", len(batch))
-            with use_backend(req0.backend):
-                entry, hit = self._resolve_entry(req0, bid)
-                factor, built = ensure_factor(entry, req0)
+            entry, hit = self._resolve_entry(req0, bid)
+            factor, built = ensure_factor(entry, req0)
             if built:
                 ticks = cost_factor(entry.mesh.n_nodes)
                 self.clock.advance(ticks)
@@ -334,11 +332,10 @@ class SolverService:
                             "solve_start", it.digest, tick=self.clock.now,
                             shard=self.name, bid=bid,
                         )
-                with use_backend(req0.backend):
-                    outcome = solve_batch(
-                        factor, [it.request for it in batch], emit=emit,
-                        tol_scale=tol_scale,
-                    )
+                outcome = solve_batch(
+                    factor, [it.request for it in batch], emit=emit,
+                    tol_scale=tol_scale,
+                )
             except SolverBreakdown as exc:
                 bsp.event("solver_breakdown",
                           reason=getattr(exc, "reason", "breakdown"))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from ..kernels import api as kernels
+from .. import kernels
 from ..obs import span
 
 __all__ = ["KrylovResult", "cg", "bicgstab"]

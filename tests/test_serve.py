@@ -64,6 +64,19 @@ def test_request_validation():
     _req().validate()  # the default request is valid
 
 
+@pytest.mark.parametrize("kw", [
+    {"tol": float("nan")},
+    {"f": float("inf")},
+    {"geometry": {"shape": "sphere", "center": (float("nan"), 0.5),
+                  "radius": 0.3}},
+], ids=["tol-nan", "f-inf", "center-nan"])
+def test_request_rejects_non_finite_inputs(kw):
+    with pytest.raises(ValueError, match="must be finite"):
+        _req(**kw).validate()
+    with pytest.raises(ValueError, match="must be finite"):
+        SolverService().submit(_req(**kw))
+
+
 # -- admission control and deadlines -----------------------------------
 
 
@@ -206,6 +219,27 @@ def test_service_batches_shared_fingerprints():
     sizes = {r.request_digest: r.batch_size for r in done}
     assert sorted(sizes.values()) == [1, 4, 4, 4, 4]
     assert svc.stats()["batches"] == 2
+
+
+def test_sbm_factor_uses_each_geometry_of_a_shared_mesh():
+    # both radii carve the same leaves, so the second request is served
+    # from the first one's cache entry; its SBM terms must still follow
+    # its own boundary
+    geos = [{"shape": "sphere", "center": (0.5, 0.5), "radius": r}
+            for r in (0.21, 0.195)]
+    reqs = [_req(pde="sbm", geometry=g) for g in geos]
+    assert reqs[0].mesh_digest != reqs[1].mesh_digest
+    assert build_entry(reqs[0]).fingerprint == build_entry(reqs[1]).fingerprint
+    svc = SolverService()
+    for r in reqs:
+        svc.submit(r)
+    shared = {r.request_digest: r.solution_digest for r in svc.drain()}
+    for r in reqs:
+        fresh = SolverService()
+        fresh.submit(r)
+        (alone,) = fresh.drain()
+        assert alone.ok
+        assert shared[r.digest] == alone.solution_digest
 
 
 def test_transport_batch_matches_transport_problem_run():
