@@ -17,7 +17,7 @@ import numpy as np
 from ..obs import span
 from .domain import Domain
 from .construct import construct_constrained
-from .octant import OctantSet, neighbors, parent
+from .octant import OctantSet, _neighbor_offsets, max_level, neighbors
 from .sfc import SFCOracle, get_curve
 from .treesort import block_ends, remove_duplicates
 
@@ -29,30 +29,65 @@ __all__ = [
 ]
 
 
-def bottom_up_constrain_neighbors(seeds: OctantSet) -> OctantSet:
+def bottom_up_constrain_neighbors(
+    seeds: OctantSet, curve: "str | SFCOracle" = "morton"
+) -> OctantSet:
     """Algorithm 5: propagate balance constraints coarse-ward.
 
     Returns the union of the input seeds and all generated auxiliary
-    seeds (duplicates removed).  No subdomain predicate is applied.
+    seeds, duplicate-free and sorted along ``curve``.  No subdomain
+    predicate is applied.
+
+    Each level works on integer cell coordinates at that level (the
+    anchor shifted right by ``m - lv``), so its tier and the tier's
+    parents are deduplicated by one packed ``dim*lv``-bit key; only the
+    final union is SFC-sorted.
     """
     dim = seeds.dim
     if len(seeds) == 0:
         return seeds
-    levels = seeds.levels.astype(np.int64)
-    by_level: dict[int, list[OctantSet]] = {}
-    for lv in np.unique(levels):
-        by_level[int(lv)] = [seeds[np.flatnonzero(levels == lv)]]
-    finest = int(levels.max())
-    for lv in range(finest, 0, -1):
-        if lv not in by_level:
-            continue
-        tier = remove_duplicates(OctantSet.concatenate(by_level[lv]))
-        by_level[lv] = [tier]
-        nbrs = neighbors(parent(tier))  # level lv-1, clipped to the domain
-        if len(nbrs):
-            by_level.setdefault(lv - 1, []).append(nbrs)
-    parts = [remove_duplicates(OctantSet.concatenate(v)) for v in by_level.values()]
-    return remove_duplicates(OctantSet.concatenate(parts))
+    with span("balance.constrain") as sp:
+        m = max_level(dim)
+        offs = _neighbor_offsets(dim)
+        levels = seeds.levels.astype(np.int64)
+        by_level: dict[int, list[np.ndarray]] = {}
+        for lv in np.unique(levels).tolist():
+            cells = seeds.anchors[levels == lv].astype(np.int64) >> (m - lv)
+            by_level[lv] = [cells]
+        tiers: list[OctantSet] = []
+        for lv in range(int(levels.max()), -1, -1):
+            if lv not in by_level:
+                continue
+            tier = _unique_cells(np.concatenate(by_level.pop(lv)), lv)
+            tiers.append(OctantSet(
+                tier << (m - lv), np.full(len(tier), lv, np.uint8), dim
+            ))
+            if lv == 0:
+                break
+            # parents (shared by up to 2**dim siblings), then their
+            # same-level neighbours clipped to the domain
+            par = _unique_cells(tier >> 1, lv - 1)
+            cand = (par[:, None, :] + offs[None, :, :]).reshape(-1, dim)
+            ok = np.all((cand >= 0) & (cand < (1 << (lv - 1))), axis=1)
+            if ok.any():
+                by_level.setdefault(lv - 1, []).append(cand[ok])
+        sp.add("tiers", len(tiers))
+        return remove_duplicates(OctantSet.concatenate(tiers), curve)
+
+
+def _unique_cells(cells: np.ndarray, lv: int) -> np.ndarray:
+    """Distinct rows of level-``lv`` integer cell coordinates.
+
+    Each coordinate has ``lv`` bits, so a row packs into one
+    ``dim*lv <= 63``-bit int64 key.
+    """
+    dim = cells.shape[1]
+    key = cells[:, 0].copy()
+    for j in range(1, dim):
+        key |= cells[:, j] << (j * lv)
+    key = np.unique(key)
+    mask = (1 << lv) - 1
+    return np.stack([(key >> (j * lv)) & mask for j in range(dim)], axis=1)
 
 
 def balance_2to1(
@@ -63,8 +98,7 @@ def balance_2to1(
     ``seeds`` is typically the unbalanced leaf set from construction.
     """
     with span("balance") as sp:
-        with span("balance.constrain"):
-            aux = bottom_up_constrain_neighbors(seeds)
+        aux = bottom_up_constrain_neighbors(seeds, curve)
         out = construct_constrained(domain, aux, curve)
         sp.add("seeds", len(seeds))
         sp.add("aux_seeds", len(aux))
@@ -113,8 +147,6 @@ def is_balanced(leaves: OctantSet, curve: "str | SFCOracle" = "morton") -> bool:
 
 def _neighbor_counts(oset: OctantSet) -> np.ndarray:
     """How many in-domain same-level neighbours each octant has."""
-    from .octant import _neighbor_offsets, max_level
-
     dim = oset.dim
     m = max_level(dim)
     offs = _neighbor_offsets(dim)

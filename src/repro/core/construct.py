@@ -28,7 +28,7 @@ from ..obs import span
 from .domain import Domain
 from .octant import OctantSet, children, max_level
 from .sfc import SFCOracle, get_curve
-from .treesort import tree_sort
+from .treesort import _sort_keys, tree_sort
 
 __all__ = [
     "construct_uniform",
@@ -103,7 +103,8 @@ def construct_constrained(
     """Algorithm 2: leaves no coarser than ``seeds``, covering the subdomain.
 
     Every output leaf whose SFC block contains a seed is at least as fine
-    as the finest such seed.
+    as the finest such seed.  Seeds already in ``curve`` order (as
+    balancing returns them) are not sorted again.
     """
     oracle = get_curve(curve)
     dim = domain.dim
@@ -111,9 +112,10 @@ def construct_constrained(
         raise ValueError("seed dimension mismatch")
     if len(seeds) == 0:
         return construct_uniform(domain, 0, curve)
-    seeds_sorted, _ = tree_sort(seeds, oracle)
-    skeys = oracle.keys(seeds_sorted)
-    slevels = seeds_sorted.levels.astype(np.int64)
+    skeys = oracle.keys(seeds)
+    if np.any(skeys[1:] < skeys[:-1]):
+        seeds, _, skeys = _sort_keys(seeds, oracle)
+    slevels = seeds.levels.astype(np.int64)
 
     def rule(frontier, labels):
         fkeys = oracle.keys(frontier)

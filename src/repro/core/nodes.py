@@ -141,19 +141,38 @@ def _group_coords(all_coords: np.ndarray):
     """Group identical coordinate rows.
 
     Returns ``(grp, n_groups, first_of_group)`` where ``grp[i]`` is the
-    group id of row i (ids ordered by sorted coordinate order) and
+    group id of row i (ids ordered lexicographically with the last
+    column most significant, as ``np.lexsort(all_coords.T)`` orders) and
     ``first_of_group[g]`` indexes a representative row.
+
+    Rows of non-negative coordinates are packed into one int64 key per
+    row after dividing out the power of two common to all coordinates;
+    the ``np.lexsort`` path only runs when that key would need more than
+    63 bits (or a coordinate is negative).
     """
-    order = np.lexsort(all_coords.T)
-    sc = all_coords[order]
-    new = np.ones(len(sc), bool)
-    if len(sc) > 1:
+    n, dim = all_coords.shape
+    if n == 0:
+        return np.zeros(0, np.int64), 0, np.zeros(0, np.int64)
+    common = int(np.bitwise_or.reduce(all_coords, axis=None))
+    tz = (common & -common).bit_length() - 1 if common else 0
+    bits = (int(all_coords.max()) >> tz).bit_length()
+    if dim * bits <= 63 and all_coords.min() >= 0:
+        key = all_coords[:, 0] >> tz
+        for j in range(1, dim):
+            key |= (all_coords[:, j] >> tz) << (j * bits)
+        order = np.argsort(key)
+        sk = key[order]
+        new = np.ones(n, bool)
+        new[1:] = sk[1:] != sk[:-1]
+    else:
+        order = np.lexsort(all_coords.T)
+        sc = all_coords[order]
+        new = np.ones(n, bool)
         new[1:] = np.any(sc[1:] != sc[:-1], axis=1)
     gid_sorted = np.cumsum(new) - 1
-    grp = np.empty(len(all_coords), np.int64)
+    grp = np.empty(n, np.int64)
     grp[order] = gid_sorted
-    first = order[new]
-    return grp, int(gid_sorted[-1]) + 1 if len(sc) else 0, first
+    return grp, int(gid_sorted[-1]) + 1, order[new]
 
 
 def build_nodes(
@@ -169,6 +188,8 @@ def build_nodes(
     """
     with span("nodes") as sp:
         nodes = _build_nodes(domain, leaves, p, curve)
+        n_off = nodes.npe + len(cancellation_offsets(p, domain.dim))
+        sp.add("rows", len(leaves) * n_off)
         sp.add("n_nodes", nodes.n_glob)
         sp.add("hanging_slots", nodes.n_hanging_slots)
         sp.add("gather_nnz", int(nodes.gather.nnz))
@@ -198,14 +219,12 @@ def _build_nodes(
     all_coords = np.concatenate(
         [node_xyz.reshape(n_ord, dim), canc_xyz.reshape(-1, dim)]
     )
-    is_canc = np.zeros(len(all_coords), bool)
-    is_canc[n_ord:] = True
 
     grp, n_grp, first = _group_coords(all_coords)
     grp_has_canc = np.zeros(n_grp, bool)
-    np.logical_or.at(grp_has_canc, grp[is_canc], True)
+    grp_has_canc[grp[n_ord:]] = True
     grp_has_ord = np.zeros(n_grp, bool)
-    np.logical_or.at(grp_has_ord, grp[~is_canc], True)
+    grp_has_ord[grp[:n_ord]] = True
 
     # independent DOFs: ordinary-only coordinates
     is_dof_grp = grp_has_ord & ~grp_has_canc

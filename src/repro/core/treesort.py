@@ -33,16 +33,23 @@ def block_ends(keys: np.ndarray, levels: np.ndarray, dim: int) -> np.ndarray:
     return keys + (np.uint64(1) << span)
 
 
+def _sort_keys(
+    oset: OctantSet, oracle: SFCOracle
+) -> tuple[OctantSet, np.ndarray, np.ndarray]:
+    """SFC sort computing the keys once: (sorted set, permutation, keys)."""
+    with span("treesort", merge=True) as sp:
+        keys = oracle.keys(oset)
+        order = np.lexsort((oset.levels, keys))
+        sp.add("octants", len(oset))
+    return oset[order], order, keys[order]
+
+
 def tree_sort(
     oset: OctantSet, curve: "str | SFCOracle" = "morton"
 ) -> tuple[OctantSet, np.ndarray]:
     """Sort octants into SFC order. Returns (sorted set, permutation)."""
-    with span("treesort", merge=True) as sp:
-        oracle = get_curve(curve)
-        keys = oracle.keys(oset)
-        order = np.lexsort((oset.levels, keys))
-        sp.add("octants", len(oset))
-    return oset[order], order
+    out, order, _ = _sort_keys(oset, get_curve(curve))
+    return out, order
 
 
 def tree_sort_msd(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> OctantSet:
@@ -92,14 +99,25 @@ def remove_duplicates(
 ) -> OctantSet:
     """Remove exact duplicate octants (same anchor and level)."""
     oracle = get_curve(curve)
-    if not assume_sorted:
-        oset, _ = tree_sort(oset, oracle)
-    keys = oracle.keys(oset)
-    if len(oset) == 0:
-        return oset
+    if assume_sorted:
+        keys = oracle.keys(oset)
+    else:
+        oset, _, keys = _sort_keys(oset, oracle)
+    return _dedup_sorted(oset, keys)[0]
+
+
+def _dedup_sorted(
+    oset: OctantSet, keys: np.ndarray
+) -> tuple[OctantSet, np.ndarray]:
+    """Drop repeats from an SFC-sorted set with its keys; returns both."""
+    if len(oset) <= 1:
+        return oset, keys
     keep = np.ones(len(oset), bool)
     keep[1:] = (keys[1:] != keys[:-1]) | (oset.levels[1:] != oset.levels[:-1])
-    return oset[np.flatnonzero(keep)]
+    if keep.all():
+        return oset, keys
+    idx = np.flatnonzero(keep)
+    return oset[idx], keys[idx]
 
 
 def linearize(
@@ -116,13 +134,11 @@ def linearize(
     """
     if prefer not in ("finer", "coarser"):
         raise ValueError("prefer must be 'finer' or 'coarser'")
-    oracle = get_curve(curve)
-    oset, _ = tree_sort(oset, oracle)
-    oset = remove_duplicates(oset, oracle, assume_sorted=True)
+    oset, _, keys = _sort_keys(oset, get_curve(curve))
+    oset, keys = _dedup_sorted(oset, keys)
     n = len(oset)
     if n <= 1:
         return oset
-    keys = oracle.keys(oset)
     ends = block_ends(keys, oset.levels, oset.dim)
     if prefer == "finer":
         # In (key, level) order an octant's first strict descendant, if

@@ -167,6 +167,15 @@ class SolveRequest:
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if not (0 < self.base_level <= self.boundary_level):
             raise ValueError("need 0 < base_level <= boundary_level")
+        from ..core.octant import max_level
+
+        dim = len(geo["center"] if geo["shape"] == "sphere" else geo["lo"])
+        for name in ("base_level", "boundary_level"):
+            if getattr(self, name) > max_level(dim):
+                raise ValueError(
+                    f"{name} must be <= {max_level(dim)} for a {dim}-D "
+                    f"geometry, got {getattr(self, name)}"
+                )
         if self.p not in (1, 2):
             raise ValueError("element order p must be 1 or 2")
         if self.tol <= 0:

@@ -13,8 +13,8 @@ from repro.core.balance import (
 )
 from repro.core.construct import construct_adaptive, construct_uniform
 from repro.core.domain import Domain
-from repro.core.octant import OctantSet, max_level
-from repro.core.treesort import is_sorted_linear
+from repro.core.octant import OctantSet, max_level, neighbors, parent
+from repro.core.treesort import is_sorted_linear, remove_duplicates
 from repro.geometry.primitives import SphereCarve, SphereRetain
 
 
@@ -108,3 +108,87 @@ def test_balance_random_seeds_property(seed):
     bal = balance_2to1(dom, seeds)
     assert is_balanced(bal)
     assert is_sorted_linear(bal)
+
+
+# -- sort-once constraint propagation vs the per-level-treesort reference
+
+
+def _reference_constrain_neighbors(seeds: OctantSet) -> OctantSet:
+    """Algorithm 5 with a full SFC dedup of every level (the original
+    implementation, kept as the reference for the packed-key version)."""
+    if len(seeds) == 0:
+        return seeds
+    levels = seeds.levels.astype(np.int64)
+    by_level: dict[int, list[OctantSet]] = {}
+    for lv in np.unique(levels):
+        by_level[int(lv)] = [seeds[np.flatnonzero(levels == lv)]]
+    finest = int(levels.max())
+    for lv in range(finest, 0, -1):
+        if lv not in by_level:
+            continue
+        tier = remove_duplicates(OctantSet.concatenate(by_level[lv]))
+        by_level[lv] = [tier]
+        nbrs = neighbors(parent(tier))
+        if len(nbrs):
+            by_level.setdefault(lv - 1, []).append(nbrs)
+    parts = [remove_duplicates(OctantSet.concatenate(v)) for v in by_level.values()]
+    return remove_duplicates(OctantSet.concatenate(parts))
+
+
+@st.composite
+def _seed_sets(draw):
+    """Random aligned seed octants (duplicates likely), 2-D or 3-D."""
+    dim = draw(st.sampled_from([2, 3]))
+    m = max_level(dim)
+    lo = draw(st.integers(0, 5))
+    hi = draw(st.integers(lo, 7))
+    n = draw(st.integers(0, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    levels = rng.integers(lo, hi + 1, n)
+    cells = rng.integers(0, 1 << levels[:, None], (n, dim))
+    # narrow the cells to a corner so siblings and repeats are common
+    cells >>= rng.integers(0, 3, (n, 1)).clip(max=levels[:, None])
+    anchors = (cells << (m - levels[:, None])).astype(np.uint32)
+    return OctantSet(anchors.reshape(n, dim), levels.astype(np.uint8), dim)
+
+
+def _assert_same_set(a: OctantSet, b: OctantSet) -> None:
+    assert a.dim == b.dim
+    np.testing.assert_array_equal(a.anchors, b.anchors)
+    np.testing.assert_array_equal(a.levels, b.levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=_seed_sets())
+def test_constrain_neighbors_matches_reference(seeds):
+    _assert_same_set(
+        bottom_up_constrain_neighbors(seeds),
+        _reference_constrain_neighbors(seeds),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("level", [0, 1, 4])
+def test_constrain_neighbors_single_level(dim, level):
+    m = max_level(dim)
+    cells = np.array([[0] * dim, [(1 << level) - 1] * dim, [0] * dim])
+    seeds = OctantSet(
+        (cells << (m - level)).astype(np.uint32),
+        np.full(3, level, np.uint8), dim,
+    )
+    out = bottom_up_constrain_neighbors(seeds)
+    _assert_same_set(out, _reference_constrain_neighbors(seeds))
+    assert len(np.unique(out.levels)) == max(level, 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds=_seed_sets())
+def test_balance_sort_once_stays_balanced(seeds):
+    from repro.core.construct import construct_constrained
+
+    dom = Domain(dim=seeds.dim)
+    bal = balance_2to1(dom, seeds, "hilbert")
+    ref = _reference_constrain_neighbors(seeds)
+    _assert_same_set(bal, construct_constrained(dom, ref, "hilbert"))
+    assert is_balanced(bal, "hilbert")
+    assert is_sorted_linear(bal, "hilbert")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.domain import Domain
 from repro.core.mesh import build_mesh, build_uniform_mesh
-from repro.core.nodes import cancellation_offsets
+from repro.core.nodes import _group_coords, cancellation_offsets
 from repro.fem.basis import local_node_offsets
 from repro.geometry.primitives import BoxRetain, SphereCarve, SphereRetain
 
@@ -155,3 +155,89 @@ def test_random_carving_linear_reproduction(seed):
         return pts @ coef + 1.0
 
     _check_polynomial_reproduction(mesh, func)
+
+
+# -- packed-key node grouping vs the lexsort reference -------------------
+
+
+def _reference_group_coords(all_coords):
+    order = np.lexsort(all_coords.T)
+    sc = all_coords[order]
+    new = np.ones(len(sc), bool)
+    new[1:] = np.any(sc[1:] != sc[:-1], axis=1)
+    gid_sorted = np.cumsum(new) - 1
+    grp = np.empty(len(all_coords), np.int64)
+    grp[order] = gid_sorted
+    return grp, int(gid_sorted[-1]) + 1 if len(sc) else 0
+
+
+@st.composite
+def _coord_arrays(draw):
+    """Non-negative int64 rows sharing a power-of-two factor, with repeats;
+    ``bits`` up to 62 drives the packed key past 63 bits (lexsort path)."""
+    dim = draw(st.sampled_from([2, 3]))
+    bits = draw(st.integers(0, 62))
+    shift = draw(st.integers(0, 62 - bits))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pool = rng.integers(0, 1 << bits, (max(n // 3, 1), dim), dtype=np.int64)
+    rows = pool[rng.integers(0, len(pool), n)] << shift
+    return rows.reshape(n, dim)
+
+
+def _check_group_coords(all_coords):
+    grp, n_grp, first = _group_coords(all_coords)
+    ref_grp, ref_n = _reference_group_coords(all_coords)
+    np.testing.assert_array_equal(grp, ref_grp)
+    assert n_grp == ref_n
+    assert len(first) == n_grp
+    np.testing.assert_array_equal(grp[first], np.arange(n_grp))
+
+
+@settings(max_examples=80, deadline=None)
+@given(all_coords=_coord_arrays())
+def test_group_coords_matches_lexsort(all_coords):
+    _check_group_coords(all_coords)
+
+
+def _uses_lexsort(all_coords, monkeypatch) -> bool:
+    calls = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: calls.append(1) or real(k))
+    _group_coords(all_coords)
+    monkeypatch.setattr(np, "lexsort", real)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("dim,top,fallback", [
+    (3, 1 << 21, False), (3, 1 << 22, True),
+    (2, 1 << 31, False), (2, 1 << 32, True),
+])
+def test_group_coords_packed_key_boundary(dim, top, fallback, monkeypatch):
+    """Keys of up to 63 bits pack; one more bit takes the lexsort path."""
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, top, (50, dim), dtype=np.int64)
+    rows[::5] = rows[1::5]
+    rows[0] = top - 1
+    assert _uses_lexsort(rows, monkeypatch) == fallback
+    _check_group_coords(rows)
+
+
+@pytest.mark.parametrize("p,finest,fallback", [
+    (1, 19, False), (1, 20, True), (2, 18, False), (2, 19, True),
+])
+def test_group_coords_on_deep_3d_leaves(p, finest, fallback, monkeypatch):
+    """Node rows of 3-D leaves spanning the cube down to ``finest``: the
+    packed key outgrows 63 bits from level 20 (p=1) / 19 (p=2) on."""
+    from repro.core.nodes import _element_node_coords
+    from repro.core.octant import OctantSet, children
+
+    corner = OctantSet(np.full((1, 3), 1 << 20, np.uint32), np.array([1], np.uint8))
+    deep = OctantSet(np.zeros((1, 3), np.uint32), np.array([finest - 1], np.uint8))
+    leaves = OctantSet.concatenate([children(deep), corner])
+    xyz = np.concatenate([
+        _element_node_coords(leaves, 2 * local_node_offsets(p, 3), p),
+        _element_node_coords(leaves, cancellation_offsets(p, 3), p),
+    ], axis=1).reshape(-1, 3)
+    assert _uses_lexsort(xyz, monkeypatch) == fallback
+    _check_group_coords(xyz)

@@ -77,6 +77,24 @@ def test_request_rejects_non_finite_inputs(kw):
         SolverService().submit(_req(**kw))
 
 
+_SPHERE_3D = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 0.3}
+
+
+@pytest.mark.parametrize("field,kw", [
+    ("boundary_level", {"geometry": _SPHERE_3D, "boundary_level": 40}),
+    ("base_level", {"geometry": _SPHERE_3D, "base_level": 30,
+                    "boundary_level": 30}),
+], ids=["boundary_level-40", "base_level-30"])
+def test_request_rejects_levels_beyond_max_level(field, kw):
+    """Levels the octree cannot represent (3-D caps at 21) are refused
+    at submit instead of silently building a level-21 tree."""
+    with pytest.raises(ValueError, match=f"^{field} must be <= 21"):
+        _req(**kw).validate()
+    with pytest.raises(ValueError, match=f"^{field} must be <= 21"):
+        SolverService().submit(_req(**kw))
+    _req(geometry=_SPHERE_3D, base_level=21, boundary_level=21).validate()
+
+
 # -- admission control and deadlines -----------------------------------
 
 
