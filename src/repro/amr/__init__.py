@@ -1,10 +1,9 @@
 """Estimator-driven adaptive mesh refinement (AMR).
 
 The solve → estimate → mark → refine loop that turns the paper's fast
-re-meshing and this repo's incremental operator-plan deltas
-(:mod:`repro.core.plan_delta`) into an adaptive solver: each cycle pays
-roughly the *churn fraction* of a full mesh rebuild, and the refined
-solution warm-starts the next CG solve.
+re-meshing into an adaptive solver: each cycle rebuilds the adapted
+mesh with the same construct → balance → nodes pipeline as a cold
+build, and the refined solution warm-starts the next CG solve.
 """
 
 from .estimators import poisson_estimator

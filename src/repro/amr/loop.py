@@ -8,15 +8,9 @@ Each cycle:
 2. **estimate** per-element indicators η_K²
    (:func:`repro.amr.estimators.poisson_estimator`);
 3. **mark** elements (Dörfler or maximum strategy);
-4. **refine** the marked leaves, 2:1-balance, and rebuild the operator
-   plan *incrementally* through
-   :func:`repro.core.plan_delta.update_mesh` — the step cost scales
-   with the churn fraction, not the mesh size.
-
-With ``check_equivalence=True`` (the default) every incremental step is
-cross-checked against a from-scratch rebuild and must be bit-identical
-— the equivalence gate the incremental-plan layer guarantees.  Disable
-it in benchmarks where the full rebuild would dominate the timing.
+4. **refine** the marked leaves, 2:1-balance, and rebuild the mesh
+   from the new leaves (node enumeration and operator plan), the same
+   pipeline every cold mesh goes through.
 
 The loop is deterministic: identical inputs produce an identical
 refinement trajectory and a stable :attr:`AMRResult.digest`.
@@ -36,7 +30,6 @@ from ..core.construct import construct_adaptive
 from ..core.domain import Domain
 from ..core.interpolate import transfer_field
 from ..core.mesh import IncompleteMesh, mesh_from_leaves
-from ..core.plan_delta import assert_plan_equivalent, update_mesh
 from ..fem.poisson import PoissonProblem, l2_error
 from ..obs import span
 from .estimators import poisson_estimator
@@ -93,8 +86,6 @@ def amr_solve(
     solver: str = "auto",
     rtol: float = 1e-10,
     target_dofs: int | None = None,
-    check_equivalence: bool = True,
-    churn_limit: float = 0.5,
     exact: Callable | None = None,
 ) -> AMRResult:
     """Run the adaptive loop; see the module docstring for the cycle.
@@ -134,8 +125,6 @@ def amr_solve(
                     "n_dofs": mesh.n_nodes,
                     "eta": float(np.sqrt(eta2.sum())),
                     "marked": 0,
-                    "churn": 0.0,
-                    "incremental": False,
                 }
                 if exact is not None:
                     rec["error_l2"] = l2_error(mesh, u, exact)
@@ -156,25 +145,11 @@ def amr_solve(
                     new_leaves = balance_2to1(
                         domain, refine_leaves(domain, mesh.leaves, marks)
                     )
-                    new_mesh, delta = update_mesh(
-                        mesh, new_leaves, churn_limit=churn_limit
+                    new_mesh = mesh_from_leaves(
+                        domain, new_leaves, p=p, curve=mesh.curve,
+                        balance=False,
                     )
-                rec["churn"] = float(delta.churn)
-                rec["incremental"] = bool(
-                    new_mesh._plan_update.incremental
-                )
                 csp.add("marked", rec["marked"])
-                csp.add("incremental", int(rec["incremental"]))
-                if check_equivalence and rec["incremental"]:
-                    with span("amr.equivalence_gate"):
-                        ref = mesh_from_leaves(
-                            domain,
-                            new_leaves,
-                            p=p,
-                            curve=mesh.curve,
-                            balance=False,
-                        )
-                        assert_plan_equivalent(new_mesh, ref)
                 with span("amr.transfer"):
                     u_prev = transfer_field(mesh, new_mesh, u)
                 mesh = new_mesh

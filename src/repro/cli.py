@@ -402,8 +402,7 @@ def cmd_amr_demo(args) -> None:
     if args.case == "lshape":
         domain = Domain(BoxCarve([0.5, 0.5], [1.0, 1.0]), dim=2, scale=1.0)
         f, g, exact = 0.0, _amr_lshape_exact, _amr_lshape_exact
-    else:  # "source": sharp off-dyadic Gaussian — exercises the
-        # incremental plan-delta path (refinement stays SFC-local)
+    else:  # "source": sharp off-dyadic Gaussian on a carved disk
         domain = Domain(SphereCarve([0.62, 0.38], 0.2), dim=2, scale=1.0)
 
         def f(pts):
@@ -416,27 +415,21 @@ def cmd_amr_demo(args) -> None:
         base_level=args.base_level,
         boundary_level=args.boundary_level or args.base_level,
         max_cycles=args.cycles, theta=args.theta, exact=exact,
-        check_equivalence=not args.no_equivalence_check,
     )
     lines = [
         f"# amr-demo: case={args.case} cycles={args.cycles} "
         f"theta={args.theta} base={args.base_level}",
-        "cycle  n_elem   n_dofs   eta        churn  incr"
+        "cycle  n_elem   n_dofs   eta        marked"
         + ("  l2_error" if exact else ""),
     ]
     for rec in res.history:
         row = (
             f"{rec['cycle']:>5}  {rec['n_elem']:>6}  {rec['n_dofs']:>7}  "
-            f"{rec['eta']:.3e}  {rec['churn']:.3f}  {str(rec['incremental']):<5}"
+            f"{rec['eta']:.3e}  {rec['marked']:>6}"
         )
         if exact:
             row += f" {rec['error_l2']:.3e}"
         lines.append(row)
-    inc_steps = sum(1 for r in res.history if r["incremental"])
-    lines.append(
-        f"incremental steps: {inc_steps}/{max(len(res.history) - 1, 0)} "
-        f"(equivalence gate {'ON' if not args.no_equivalence_check else 'off'})"
-    )
     lines.append(f"final: {res.mesh.n_elem} elements, {res.n_dofs} DOFs, "
                  f"eta={res.total_eta:.3e}")
     lines.append(f"digest: {res.digest()}")
@@ -731,13 +724,23 @@ def cmd_trace_diff(args) -> None:
         raise SystemExit(1)
 
 
+def _load_event_stream(path):
+    """``load_events`` for the CLI: a missing, malformed or tampered
+    stream exits with its message instead of a traceback."""
+    from .obs.events import EventStreamCorruption, load_events
+
+    try:
+        return load_events(path)
+    except (OSError, ValueError, EventStreamCorruption) as exc:
+        raise SystemExit(f"{path}: {exc}") from exc
+
+
 def cmd_request_trace(args) -> None:
     """Reconstruct the causal timeline of one request from an event
     stream (``--events`` export of serve-demo / fleet-demo)."""
-    from .obs.events import load_events
     from .obs.reqtrace import reconstruct, render_timeline, timelines
 
-    log = load_events(args.events)
+    log = _load_event_stream(args.events)
     if args.list or not args.rid:
         lines = [
             f"{tl.rid} {tl.status:<8} pde={tl.pde:<9} "
@@ -759,11 +762,10 @@ def cmd_fleet_health(args) -> None:
     """Evaluate SLOs over an event stream into a fleet health report."""
     import json
 
-    from .obs.events import load_events
     from .obs.reqtrace import events_to_chrome
     from .obs.slo import SLOPolicy, fleet_health, render_health
 
-    log = load_events(args.events)
+    log = _load_event_stream(args.events)
     stage_p95 = {}
     for spec in args.stage_p95 or []:
         stage, _, ceiling = spec.partition("=")
@@ -878,16 +880,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "amr-demo",
-        help="estimator-driven adaptive refinement loop "
-             "(incremental operator-plan deltas + equivalence gate)",
+        help="estimator-driven adaptive refinement loop",
     )
     s.add_argument("--case", choices=("lshape", "source"), default="lshape")
     s.add_argument("--cycles", type=int, default=6)
     s.add_argument("--theta", type=float, default=0.5)
     s.add_argument("--base-level", type=int, default=3)
     s.add_argument("--boundary-level", type=int, default=None)
-    s.add_argument("--no-equivalence-check", action="store_true",
-                   help="skip the incremental-vs-full bit-identity gate")
     s.add_argument("--out", default=None)
     s.add_argument("--trace-out", default=None,
                    help="run-artifact path (default trace_<command>.json)")

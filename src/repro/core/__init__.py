@@ -9,15 +9,7 @@ from .faces import extract_boundary_faces
 from .mesh import IncompleteMesh, build_mesh, build_uniform_mesh
 from .nodes import MeshNodes, build_nodes
 from .octant import OctantSet, max_level
-from .plan import (
-    OperatorContext,
-    PlanDelta,
-    TraversalPlan,
-    diff_leaves,
-    mesh_fingerprint,
-    operator_context,
-)
-from .plan_delta import PlanUpdateReport, assert_plan_equivalent, update_mesh
+from .plan import OperatorContext, TraversalPlan, mesh_fingerprint, operator_context
 from .sfc import HilbertOrder, MortonOrder, get_curve
 from .treesort import linearize, tree_sort
 
@@ -45,11 +37,6 @@ __all__ = [
     "TraversalPlan",
     "operator_context",
     "mesh_fingerprint",
-    "PlanDelta",
-    "diff_leaves",
-    "PlanUpdateReport",
-    "update_mesh",
-    "assert_plan_equivalent",
     "AdaptMap",
     "refine_leaves",
     "coarsen_leaves",

@@ -83,10 +83,9 @@ class MeshNodes:
         raw hanging-slot data, one row per hanging slot in row-major
         ``(elem, slot)`` order: the element and local slot index, the
         donor element, and the ``(npe,)`` donor Lagrange weight row
-        (post small-weight zeroing).  This is what the incremental plan
-        update (:mod:`repro.core.plan_delta`) needs to re-resolve
-        chained hanging rows bit-identically without a full rebuild.
-        ``None`` on nodes built by code predating the delta path.
+        (post small-weight zeroing) — the inputs the hanging rows of
+        ``gather`` were resolved from.  ``None`` on nodes assembled by
+        hand rather than by :func:`build_nodes`.
     """
 
     p: int
@@ -301,14 +300,11 @@ def _hanging_entries(
     ``don[h]`` with Lagrange weight row ``W[h]``.  Slots whose donor row
     is itself partly hanging are resolved by recursive substitution —
     the slot list must therefore be *closed* under the donor relation
-    (every slot reachable during the descent must appear in it; the full
-    build passes all slots, the incremental build passes the recompute
-    set plus its transitive donor closure).
+    (every slot reachable during the descent must appear in it).
 
     Returns three lists of arrays ``(rows, cols, vals)``.  Per-slot
     values depend only on that slot's donor chain data (weights and
-    iteration order are chain-local), which is what makes incremental
-    re-resolution bit-identical to a full rebuild.
+    iteration order are chain-local).
     """
     rows_list: list[np.ndarray] = []
     cols_list: list[np.ndarray] = []

@@ -31,7 +31,6 @@ all obtain these artifacts here instead of re-deriving them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,7 +38,6 @@ import scipy.sparse as sp
 
 from ..fem.elemental import ReferenceElement, reference_element
 from ..obs import span
-from .octant import OctantSet
 from .sfc import get_curve
 from .treesort import block_ends
 
@@ -49,8 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "OperatorContext",
     "TraversalPlan",
-    "PlanDelta",
-    "diff_leaves",
     "operator_context",
     "mesh_fingerprint",
 ]
@@ -72,106 +68,6 @@ def mesh_fingerprint(mesh: IncompleteMesh) -> str:
     h.update(np.ascontiguousarray(mesh.leaves.levels).tobytes())
     h.update(f"|dim={mesh.dim}|p={mesh.p}|curve={mesh.curve}".encode())
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class PlanDelta:
-    """Positional diff between two SFC-sorted leaf arrays.
-
-    The longest common prefix (``prefix`` leaves) and suffix
-    (``suffix`` leaves) over the sorted ``(key, level)`` sequences are
-    *unchanged*: element ``i`` of the old mesh is element
-    ``old_to_new(i)`` of the new mesh with identical geometry.  The
-    windows ``changed_old`` / ``changed_new`` in between are the leaves
-    an incremental plan update must treat as removed / added (a leaf
-    that merely shifted position inside the window is conservatively
-    counted as changed).
-    """
-
-    n_old: int
-    n_new: int
-    prefix: int
-    suffix: int
-    #: True when the update that produced this delta took the
-    #: incremental path (False: full rebuild fallback).
-    incremental: bool = False
-
-    @property
-    def n_changed_old(self) -> int:
-        return self.n_old - self.prefix - self.suffix
-
-    @property
-    def n_changed_new(self) -> int:
-        return self.n_new - self.prefix - self.suffix
-
-    @property
-    def churn(self) -> float:
-        """Fraction of the *new* mesh's leaves that are changed."""
-        return self.n_changed_new / max(self.n_new, 1)
-
-    @property
-    def identical(self) -> bool:
-        return self.n_changed_old == 0 and self.n_changed_new == 0
-
-    def changed_old(self) -> np.ndarray:
-        return np.arange(self.prefix, self.n_old - self.suffix)
-
-    def changed_new(self) -> np.ndarray:
-        return np.arange(self.prefix, self.n_new - self.suffix)
-
-    def old_to_new(self, idx: np.ndarray) -> np.ndarray:
-        """Map old element indices to new ones (``-1`` for changed)."""
-        idx = np.asarray(idx, np.int64)
-        shift = self.n_new - self.n_old
-        out = np.where(idx < self.prefix, idx, idx + shift)
-        out = np.where(
-            (idx >= self.prefix) & (idx < self.n_old - self.suffix), -1, out
-        )
-        return out
-
-    def new_to_old(self, idx: np.ndarray) -> np.ndarray:
-        """Map new element indices to old ones (``-1`` for changed)."""
-        idx = np.asarray(idx, np.int64)
-        shift = self.n_new - self.n_old
-        out = np.where(idx < self.prefix, idx, idx - shift)
-        out = np.where(
-            (idx >= self.prefix) & (idx < self.n_new - self.suffix), -1, out
-        )
-        return out
-
-    def unchanged_new_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_new, bool)
-        mask[self.prefix : self.n_new - self.suffix] = False
-        return mask
-
-
-def diff_leaves(
-    old_leaves: OctantSet, new_leaves: OctantSet, curve: str = "morton"
-) -> PlanDelta:
-    """Diff two SFC-sorted linear octrees into a :class:`PlanDelta`.
-
-    Longest-common-prefix/suffix; ``prefix + suffix`` never exceeds the
-    shorter array, so the changed windows are well defined.  Equality is
-    tested on ``(anchor, level)`` directly — for SFC-sorted arrays of
-    the same curve that coincides with ``(key, level)`` equality and
-    avoids recomputing keys.
-    """
-    a1, l1 = old_leaves.anchors, old_leaves.levels
-    a2, l2 = new_leaves.anchors, new_leaves.levels
-    n1, n2 = len(old_leaves), len(new_leaves)
-    n = min(n1, n2)
-    eq = np.all(a1[:n] == a2[:n], axis=1) & (l1[:n] == l2[:n])
-    prefix = int(np.argmin(eq)) if not eq.all() else n
-    rem = n - prefix
-    if rem == 0:
-        suffix = 0
-    else:
-        eq_s = np.all(a1[n1 - rem :] == a2[n2 - rem :], axis=1) & (
-            l1[n1 - rem :] == l2[n2 - rem :]
-        )
-        rev = eq_s[::-1]
-        suffix = int(np.argmin(rev)) if not rev.all() else rem
-    return PlanDelta(n_old=n1, n_new=n2, prefix=prefix, suffix=suffix)
 
 
 class TraversalPlan:

@@ -161,9 +161,10 @@ def cached_keys(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndar
 
     Octant sets are treated as immutable throughout the repo (every
     operation returns a new set), so the keys are computed once per
-    (set, curve) and reused — the incremental plan path
-    (:mod:`repro.core.plan_delta`) queries the same leaf arrays several
-    times per AMR step.  The returned array is marked read-only.
+    (set, curve) and reused — in the AMR loop the hanging-node donor
+    search of :func:`repro.core.nodes.build_nodes` and
+    :func:`repro.core.adapt.leaf_correspondence` query the same leaf
+    arrays.  The returned array is marked read-only.
     """
     oracle = get_curve(curve)
     cache = getattr(oset, "_sfc_keys", None)

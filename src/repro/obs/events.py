@@ -124,7 +124,8 @@ _KIND_SET = frozenset(EVENT_KINDS)
 
 
 class EventStreamCorruption(RuntimeError):
-    """A persisted event stream failed its digest re-verification."""
+    """A persisted event stream is malformed or failed its digest
+    re-verification."""
 
 
 @dataclass(frozen=True)
@@ -247,18 +248,27 @@ class EventLog:
     @classmethod
     def from_doc(cls, doc: dict) -> "EventLog":
         """Rebuild a log from its document, re-verifying the digest
-        chain (an edited or truncated stream fails loudly)."""
+        chain (an edited or truncated stream fails loudly).
+
+        A wrong schema tag raises ``ValueError``; any other malformation
+        raises :class:`EventStreamCorruption` naming the event index.
+        """
+        if not isinstance(doc, dict):
+            raise EventStreamCorruption(
+                f"event stream must be a JSON object, got {type(doc).__name__}"
+            )
         if doc.get("schema") != EVENTS_SCHEMA_ID:
             raise ValueError(
                 f"not a {EVENTS_SCHEMA_ID} document "
                 f"(schema={doc.get('schema')!r})"
             )
+        events = doc.get("events", [])
+        if not isinstance(events, list):
+            raise EventStreamCorruption("event stream 'events' must be a list")
         log = cls()
-        for edoc in doc.get("events", []):
-            ev = log.emit(
-                edoc["kind"], edoc.get("rid", ""), tick=edoc["tick"],
-                shard=edoc.get("shard"), **(edoc.get("attrs") or {}),
-            )
+        for i, edoc in enumerate(events):
+            kind, rid, tick, shard, attrs = _check_event(i, edoc)
+            ev = log.emit(kind, rid, tick=tick, shard=shard, **attrs)
             if ev.seq != edoc.get("seq"):
                 raise EventStreamCorruption(
                     f"event stream gap: expected seq {ev.seq}, "
@@ -271,6 +281,31 @@ class EventLog:
                 f"document claims {str(doc.get('digest'))[:16]}…"
             )
         return log
+
+
+def _check_event(i: int, edoc) -> tuple[str, str, int, str | None, dict]:
+    """``(kind, rid, tick, shard, attrs)`` of event document ``i``, or
+    :class:`EventStreamCorruption` naming the index."""
+    if not isinstance(edoc, dict):
+        raise EventStreamCorruption(
+            f"event {i}: must be an object, got {type(edoc).__name__}"
+        )
+    kind, tick = edoc.get("kind"), edoc.get("tick")
+    if not isinstance(kind, str) or kind not in _KIND_SET:
+        raise EventStreamCorruption(f"event {i}: unknown event kind {kind!r}")
+    if isinstance(tick, bool) or not isinstance(tick, int):
+        raise EventStreamCorruption(
+            f"event {i}: tick must be an integer, got {tick!r}"
+        )
+    rid, shard = edoc.get("rid", ""), edoc.get("shard")
+    if not isinstance(rid, str) or not (shard is None or isinstance(shard, str)):
+        raise EventStreamCorruption(
+            f"event {i}: rid and shard must be strings, got {rid!r}, {shard!r}"
+        )
+    attrs = edoc.get("attrs") or {}
+    if not isinstance(attrs, dict) or {"kind", "rid", "tick", "shard"} & attrs.keys():
+        raise EventStreamCorruption(f"event {i}: malformed attrs {attrs!r}")
+    return kind, rid, tick, shard, attrs
 
 
 def save_events(path, log: EventLog, name: str = "") -> Path:

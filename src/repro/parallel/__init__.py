@@ -17,7 +17,6 @@ __all__ = [
     "analyze_partition",
     "ExchangePlan",
     "exchange_plan",
-    "update_exchange_plan",
     "distributed_matvec",
     "MachineModel",
     "FRONTERA",
@@ -32,7 +31,6 @@ _LAZY = {
     "analyze_partition": ("ghost", "analyze_partition"),
     "ExchangePlan": ("ghost", "ExchangePlan"),
     "exchange_plan": ("ghost", "exchange_plan"),
-    "update_exchange_plan": ("ghost", "update_exchange_plan"),
     "distributed_matvec": ("dist_matvec", "distributed_matvec"),
     "MachineModel": ("perfmodel", "MachineModel"),
     "FRONTERA": ("perfmodel", "FRONTERA"),

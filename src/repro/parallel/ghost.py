@@ -33,7 +33,6 @@ __all__ = [
     "analyze_partition",
     "ExchangePlan",
     "exchange_plan",
-    "update_exchange_plan",
 ]
 
 
@@ -158,12 +157,7 @@ class ExchangePlan:
     gather on every call.
     """
 
-    def __init__(
-        self,
-        mesh: IncompleteMesh,
-        layout: PartitionLayout,
-        _reuse: "dict[int, tuple[sp.csr_matrix, sp.csc_matrix]] | None" = None,
-    ):
+    def __init__(self, mesh: IncompleteMesh, layout: PartitionLayout):
         ctx = operator_context(mesh)
         self.mesh = mesh
         self.layout = layout
@@ -181,19 +175,12 @@ class ExchangePlan:
         self.g_loc_T: list[sp.csc_matrix | None] = []
         self.send_ids: dict[tuple[int, int], np.ndarray] = {}
         self.ghost_pos: dict[tuple[int, int], np.ndarray] = {}
-        self.reused_ranks = 0
         for r in range(nranks):
             self._build_rank_exchange(layout, r)
             lo, hi = splits[r], splits[r + 1]
             if hi <= lo:
                 self.g_loc.append(None)
                 self.g_loc_T.append(None)
-                continue
-            if _reuse is not None and r in _reuse:
-                g_loc, g_loc_T = _reuse[r]
-                self.g_loc.append(g_loc)
-                self.g_loc_T.append(g_loc_T)
-                self.reused_ranks += 1
                 continue
             g_loc = self._build_rank_operator(g, layout, r, npe)
             self.g_loc.append(g_loc)
@@ -274,57 +261,5 @@ def exchange_plan(mesh: IncompleteMesh, layout: PartitionLayout) -> ExchangePlan
     with span("plan.exchange_build") as osp:
         plan = ExchangePlan(mesh, layout)
         osp.add("ranks", layout.nranks)
-    layout._exchange_plan = plan
-    return plan
-
-
-def update_exchange_plan(
-    mesh: IncompleteMesh, layout: PartitionLayout, old_plan: ExchangePlan
-) -> ExchangePlan:
-    """Build ``mesh``'s :class:`ExchangePlan`, reusing per-rank operators
-    from ``old_plan`` where the incremental plan delta proves them valid.
-
-    ``mesh`` must come out of :func:`repro.core.plan_delta.update_mesh`
-    (it carries a :class:`~repro.core.plan_delta.PlanUpdateReport`).  A
-    rank's restricted gather ``g_loc[r]`` is bit-identical to a fresh
-    build — and therefore reused — when
-
-    * its element window is unchanged (same splits) and every element in
-      it is *clean* (its gather row was spliced, not recomputed), and
-    * its referenced-node set maps elementwise through the old→new
-      ``gid_map`` onto the new referenced set (no node in the window
-      vanished or appeared; the monotone gid_map preserves the local
-      column order).
-
-    All cheap per-rank index arrays (send/recv ids, ownership masks) are
-    rebuilt fresh from ``layout`` — they live in *global* node ids, which
-    shift under the delta.  Ranks failing the conditions rebuild their
-    operator exactly as :class:`ExchangePlan` would.
-    """
-    report = getattr(mesh, "_plan_update", None)
-    if report is None or not report.incremental:
-        return exchange_plan(mesh, layout)
-    gid_map = report.gid_map
-    clean = report.clean_new
-    ol = old_plan.layout
-    reuse: dict[int, tuple[sp.csr_matrix, sp.csc_matrix]] = {}
-    for r in range(layout.nranks):
-        lo, hi = int(layout.splits[r]), int(layout.splits[r + 1])
-        if hi <= lo or r >= ol.nranks:
-            continue
-        if int(ol.splits[r]) != lo or int(ol.splits[r + 1]) != hi:
-            continue
-        if old_plan.g_loc[r] is None or not clean[lo:hi].all():
-            continue
-        mapped = gid_map[ol.ref_nodes[r]]
-        if (mapped < 0).any() or not np.array_equal(
-            mapped, layout.ref_nodes[r]
-        ):
-            continue
-        reuse[r] = (old_plan.g_loc[r], old_plan.g_loc_T[r])
-    with span("plan.exchange_update") as osp:
-        plan = ExchangePlan(mesh, layout, _reuse=reuse)
-        osp.add("ranks", layout.nranks)
-        osp.add("ranks_reused", plan.reused_ranks)
     layout._exchange_plan = plan
     return plan

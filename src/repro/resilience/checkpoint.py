@@ -146,14 +146,14 @@ def save_checkpoint(
     return path
 
 
-def load_checkpoint(path) -> "Checkpoint":
-    """Load and integrity-check one checkpoint file.
+def _load_sealed(path: Path, schema: str, span_name: str) -> dict:
+    """Read one sealed document and check its schema tag and digest.
 
-    Raises :class:`CheckpointCorruption` on a wrong schema tag, a
-    missing digest, or any digest mismatch (tampered payload/header).
+    Every way the file can fail to be a sealed ``schema`` document —
+    unreadable bytes, non-object JSON, a wrong tag, a missing or
+    mismatched digest — raises :class:`CheckpointCorruption`.
     """
-    path = Path(path)
-    with span("resilience.ckpt.load") as osp:
+    with span(span_name) as osp:
         try:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError,
@@ -162,13 +162,18 @@ def load_checkpoint(path) -> "Checkpoint":
             # mid-multibyte character (UnicodeDecodeError) — both are
             # corruption, not programming errors
             raise CheckpointCorruption(f"{path}: unreadable checkpoint: {exc}")
-        if not isinstance(doc, dict) or doc.get("schema") != CKPT_SCHEMA_ID:
+        if not isinstance(doc, dict):
             raise CheckpointCorruption(
-                f"{path}: schema tag must be {CKPT_SCHEMA_ID!r}, "
+                f"{path}: checkpoint must be a JSON object, "
+                f"got {type(doc).__name__}"
+            )
+        if doc.get("schema") != schema:
+            raise CheckpointCorruption(
+                f"{path}: schema tag must be {schema!r}, "
                 f"got {doc.get('schema')!r}"
             )
         digest = doc.get("sha256")
-        if not digest:
+        if not digest or not isinstance(digest, str):
             raise CheckpointCorruption(f"{path}: missing integrity digest")
         actual = hashlib.sha256(_canonical(doc)).hexdigest()
         if actual != digest:
@@ -178,7 +183,19 @@ def load_checkpoint(path) -> "Checkpoint":
             )
         osp.add("bytes", path.stat().st_size)
         obs_add("resilience.ckpt.loads", 1)
-    return Checkpoint(doc, path)
+    return doc
+
+
+def load_checkpoint(path) -> "Checkpoint":
+    """Load and integrity-check one checkpoint file.
+
+    Raises :class:`CheckpointCorruption` on unreadable or non-object
+    JSON, a wrong schema tag, a missing digest, or any digest mismatch
+    (tampered payload/header).
+    """
+    path = Path(path)
+    return Checkpoint(_load_sealed(path, CKPT_SCHEMA_ID, "resilience.ckpt.load"),
+                      path)
 
 
 def save_state_checkpoint(path, *, name: str, step: int, state: dict,
@@ -220,31 +237,12 @@ def save_state_checkpoint(path, *, name: str, step: int, state: dict,
 
 
 def load_state_checkpoint(path) -> "StateCheckpoint":
-    """Load and integrity-check one ``state.v1`` checkpoint."""
+    """Load and integrity-check one ``state.v1`` checkpoint (same
+    :class:`CheckpointCorruption` contract as :func:`load_checkpoint`)."""
     path = Path(path)
-    with span("resilience.ckpt.load_state") as osp:
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                ValueError) as exc:
-            raise CheckpointCorruption(f"{path}: unreadable checkpoint: {exc}")
-        if not isinstance(doc, dict) or doc.get("schema") != STATE_SCHEMA_ID:
-            raise CheckpointCorruption(
-                f"{path}: schema tag must be {STATE_SCHEMA_ID!r}, "
-                f"got {doc.get('schema')!r}"
-            )
-        digest = doc.get("sha256")
-        if not digest:
-            raise CheckpointCorruption(f"{path}: missing integrity digest")
-        actual = hashlib.sha256(_canonical(doc)).hexdigest()
-        if actual != digest:
-            raise CheckpointCorruption(
-                f"{path}: integrity digest mismatch "
-                f"(stored {digest[:12]}…, computed {actual[:12]}…)"
-            )
-        osp.add("bytes", path.stat().st_size)
-        obs_add("resilience.ckpt.loads", 1)
-    return StateCheckpoint(doc, path)
+    return StateCheckpoint(
+        _load_sealed(path, STATE_SCHEMA_ID, "resilience.ckpt.load_state"), path
+    )
 
 
 @dataclass

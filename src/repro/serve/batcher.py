@@ -267,7 +267,6 @@ class _AmrFactor:
             max_cycles=request.amr_cycles,
             theta=request.amr_theta,
             rtol=request.tol,
-            check_equivalence=False,
         )
         self.mesh = result.mesh
         self.u_unit = result.u

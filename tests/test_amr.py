@@ -132,21 +132,6 @@ def test_amr_loop_deterministic_digest():
     assert d1 == d2
 
 
-def test_amr_loop_incremental_path_with_gate():
-    # a sharp off-dyadic source keeps refinement SFC-local: the
-    # incremental plan path engages and the equivalence gate (on by
-    # default) asserts bit-identity on every such step
-    def f(pts):
-        d2 = ((pts - np.array([0.3, 0.7])) ** 2).sum(axis=1)
-        return 100.0 * np.exp(-d2 / (2 * 0.02**2))
-
-    dom = Domain(SphereCarve([0.62, 0.38], 0.2), dim=2, scale=1.0)
-    res = amr_solve(dom, f, 0.0, base_level=4, boundary_level=5,
-                    max_cycles=3, theta=0.4)
-    inc = [r["incremental"] for r in res.history[:-1]]
-    assert any(inc), f"incremental path never engaged: {res.history}"
-
-
 def test_amr_loop_target_dofs_stop():
     res = amr_solve(
         lshape_domain(), f=0.0, dirichlet=lshape_exact, base_level=3,

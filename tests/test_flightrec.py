@@ -114,6 +114,64 @@ def test_event_stream_roundtrip_and_tamper_detection(tmp_path):
         EventLog.from_doc({"schema": "bogus"})
 
 
+def _two_event_doc():
+    log = EventLog()
+    log.emit("submit", "r1", tick=0, pde="poisson")
+    log.emit("complete", "r1", tick=9, status="ok")
+    return log.to_doc()
+
+
+def _malformed(probe):
+    doc = _two_event_doc()
+    if probe == "non-object-stream":
+        return [1]
+    if probe == "missing-tick":
+        del doc["events"][1]["tick"]
+    elif probe == "event-not-object":
+        doc["events"][1] = 5
+    elif probe == "non-integer-tick":
+        doc["events"][1]["tick"] = "x"
+    elif probe == "unknown-kind":
+        doc["events"][1]["kind"] = "teleport"
+    elif probe == "non-string-rid":
+        doc["events"][1]["rid"] = 7
+    elif probe == "attr-shadows-field":
+        doc["events"][1]["attrs"]["tick"] = 3
+    return doc
+
+
+@pytest.mark.parametrize("probe,match", [
+    ("non-object-stream", "must be a JSON object"),
+    ("missing-tick", "event 1: tick must be an integer"),
+    ("event-not-object", "event 1: must be an object"),
+    ("non-integer-tick", "event 1: tick must be an integer"),
+    ("unknown-kind", "event 1: unknown event kind"),
+    ("non-string-rid", "event 1: rid and shard must be strings"),
+    ("attr-shadows-field", "event 1: malformed attrs"),
+])
+def test_malformed_event_stream_is_typed_corruption(tmp_path, probe, match):
+    doc = _malformed(probe)
+    with pytest.raises(EventStreamCorruption, match=match):
+        EventLog.from_doc(doc)
+    path = tmp_path / "ev.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EventStreamCorruption, match=match):
+        load_events(path)
+
+
+@pytest.mark.parametrize("command", ["request-trace", "fleet-health"])
+def test_cli_exits_with_message_on_malformed_stream(tmp_path, command):
+    from repro.cli import main
+
+    path = tmp_path / "ev.json"
+    path.write_text(json.dumps(_malformed("unknown-kind")))
+    with pytest.raises(SystemExit, match="event 1: unknown event kind"):
+        main([command, str(path)])
+    path.write_text(json.dumps({"schema": "bogus"}))
+    with pytest.raises(SystemExit, match="not a repro.obs/events.v1"):
+        main([command, str(path)])
+
+
 # -- histogram summary / registry satellites ---------------------------
 
 

@@ -26,6 +26,7 @@ from repro.resilience import (
     corrupt_buffer,
     latest_checkpoint,
     load_checkpoint,
+    load_state_checkpoint,
     prune_checkpoints,
     resilient_poisson_solve,
     save_checkpoint,
@@ -297,6 +298,17 @@ def test_checkpoint_schema_tag_enforced(tmp_path):
     path.write_text(json.dumps({"schema": "something/else.v9"}))
     with pytest.raises(CheckpointCorruption, match="schema"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("loader", [load_checkpoint, load_state_checkpoint])
+@pytest.mark.parametrize("payload", ["[1, 2]", '"str"', "3"])
+def test_checkpoint_non_object_json_is_corruption(tmp_path, loader, payload):
+    # valid JSON that is not an object is a corrupt checkpoint, not an
+    # AttributeError from the loader
+    path = tmp_path / "n.ckpt.json"
+    path.write_text(payload)
+    with pytest.raises(CheckpointCorruption, match="JSON object"):
+        loader(path)
 
 
 def test_latest_checkpoint_orders_by_step(tmp_path):
