@@ -18,6 +18,7 @@ from ..core.assembly import assemble
 from ..core.matvec import MapBasedMatVec
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
+from ..solvers import SBM_SPLU
 from ..solvers.krylov import cg
 from ..solvers.precond import jacobi
 
@@ -142,7 +143,7 @@ class PoissonProblem:
         if solver == "direct" or (solver == "auto" and self.method == "sbm"):
             import scipy.sparse.linalg as spla
 
-            u[free] = spla.spsolve(Aff.tocsc(), rhs)
+            u[free] = spla.splu(Aff.tocsc(), **SBM_SPLU).solve(rhs)
         else:
             start = None if x0 is None else np.asarray(x0, float)[free]
             res = cg(

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 REQ_SCHEMA_ID = "repro.serve/req.v1"
-RESP_SCHEMA_ID = "repro.serve/resp.v1"
+RESP_SCHEMA_ID = "repro.serve/resp.v2"
 
 #: Supported PDE kinds: strong-Dirichlet Poisson (batched multi-RHS
 #: CG), Shifted-Boundary-Method Poisson (cached LU), SUPG transport
@@ -290,7 +290,7 @@ def solution_digest(u: np.ndarray) -> str:
 
 @dataclass
 class SolveResponse:
-    """Outcome of one request (schema ``repro.serve/resp.v1``).
+    """Outcome of one request (schema ``repro.serve/resp.v2``).
 
     ``status`` is ``"ok"``, ``"rejected"`` (admission control,
     deadline, or brownout shedding — see :class:`Rejected`) or

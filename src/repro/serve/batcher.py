@@ -10,8 +10,13 @@ multi-RHS solve:
   :func:`repro.solvers.krylov.cg` on the cached assembled operator:
   every iteration is one SpMM over the ``(n, k)`` block instead of k
   SpMVs, so cache-hot traffic pays one operator traversal per batch.
-* ``sbm`` — the Shifted Boundary Method system is factorized once
-  (``splu``); a batch is one k-column triangular solve.
+* ``sbm`` — the Shifted Boundary Method system is factorized once by
+  ``spla.splu`` with :data:`repro.solvers.SBM_SPLU` (SuperLU symmetric
+  mode, minimum degree on Aᵀ+A: the SPD stiffness part dominates, and
+  against COLAMD this cuts fill 18x → 12x and the cold factor ~1.8x);
+  a batch is one k-column triangular solve.  :func:`factor_fill` puts
+  the matrix and factor sizes on the ``serve.factor_build`` span and
+  the flight recorder's ``factor`` event.
 * ``transport`` — the implicit-Euler SUPG matrix is factorized once;
   time stepping advances all k columns together.
 * ``amr`` — one estimator-driven refinement trajectory
@@ -40,12 +45,14 @@ from ..core.plan import operator_context
 from ..fem.poisson import load_vector
 from ..obs import span
 from ..resilience.faults import SolverBreakdown
+from ..solvers import SBM_SPLU
 from ..solvers.krylov import cg
 from ..solvers.precond import jacobi
 from .api import SolveRequest, build_domain, solution_digest
 from .cache import CacheEntry
 
-__all__ = ["BatchOutcome", "build_entry", "ensure_factor", "solve_batch"]
+__all__ = ["BatchOutcome", "build_entry", "ensure_factor", "factor_fill",
+           "solve_batch"]
 
 
 @dataclass
@@ -154,7 +161,7 @@ class _SbmFactor:
         self.free = np.flatnonzero(~self.fixed)
         fixed_idx = np.flatnonzero(self.fixed)
         self.Aff = A[np.ix_(self.free, self.free)].tocsr()
-        self.lu = spla.splu(self.Aff.tocsc())
+        self.lu = spla.splu(self.Aff.tocsc(), **SBM_SPLU)
         self.b_unit = load_vector(mesh, 1.0)
         self.bs_unit = bs_unit
         self.lift = np.asarray(
@@ -289,6 +296,15 @@ class _AmrFactor:
         )
 
 
+def factor_fill(factor) -> dict:
+    """``nnz`` of the factored matrix and ``lu_nnz`` of its LU factors,
+    for an SBM factor (empty for the other kinds).  Both are
+    deterministic, so trace diffs compare them exactly."""
+    if factor.kind != "sbm":
+        return {}
+    return {"nnz": int(factor.Aff.nnz), "lu_nnz": int(factor.lu.nnz)}
+
+
 def ensure_factor(entry: CacheEntry, request: SolveRequest):
     """The entry's factor for this request's batch key, building (and
     byte-accounting) it on first use."""
@@ -308,6 +324,8 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
         else:  # pragma: no cover - validated at submit
             raise ValueError(f"unknown pde {request.pde!r}")
         osp.add("bytes", factor.nbytes)
+        for name, value in factor_fill(factor).items():
+            osp.add(name, value)
     entry.add_factor(key, factor, factor.nbytes)
     return factor, True
 

@@ -32,7 +32,7 @@ from ..obs import observe as obs_observe
 from ..obs import set_gauge, span
 from ..resilience.faults import ArtifactCorruption, SolverBreakdown
 from .api import Rejected, SolveRequest, SolveResponse
-from .batcher import build_entry, ensure_factor, solve_batch
+from .batcher import build_entry, ensure_factor, factor_fill, solve_batch
 from .cache import ArtifactCache
 from .scheduler import (
     BrownoutPolicy,
@@ -314,6 +314,7 @@ class SolverService:
                     self.recorder.emit(
                         "factor", req0.digest, tick=self.clock.now,
                         shard=self.name, bid=bid, ticks=ticks,
+                        **factor_fill(factor),
                     )
             emit = None
             if self.recorder is not None:

@@ -1,10 +1,11 @@
-"""Tier-1 smoke test: one real bench end-to-end, sidecar validated.
+"""Tier-1 smoke tests: real benches end-to-end, sidecars validated.
 
-Runs ``bench_fig5_signed_distance`` (at reduced refinement so the suite
-stays fast) through its actual test function with a stub ``benchmark``
-fixture, then validates the JSON sidecar every bench now emits against
-the ``repro.obs/bench.v1`` schema — both with the in-repo structural
-validator and, when available, the real ``jsonschema`` package.
+Runs ``bench_fig5_signed_distance`` and ``bench_sbm_factor`` (at reduced
+refinement and repeats so the suite stays fast) through their actual
+test functions with a stub ``benchmark`` fixture, then validates the
+JSON sidecar every bench emits against the ``repro.obs/bench.v1``
+schema — both with the in-repo structural validator and, when
+available, the real ``jsonschema`` package.
 """
 
 import functools
@@ -41,6 +42,24 @@ class _StubBenchmark:
         return fn(*args, **kw)
 
 
+def _check_sidecar(tmp_path, name):
+    txt = tmp_path / f"{name}.txt"
+    sidecar = tmp_path / f"{name}.json"
+    assert txt.exists(), "bench did not write its text table"
+    assert sidecar.exists(), "bench did not write its JSON sidecar"
+
+    doc = json.loads(sidecar.read_text())
+    assert doc["schema"] == BENCH_SCHEMA_ID
+    assert validate_artifact(doc, BENCH_SCHEMA) == []
+    assert doc["name"] == name
+    assert doc["lines"][0] == doc["title"]
+    assert "spans" in doc["trace"] and "metrics" in doc["trace"]
+
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(doc, BENCH_SCHEMA)
+    return doc
+
+
 def test_fig5_bench_end_to_end_with_valid_sidecar(tmp_path, monkeypatch,
                                                   bench_modules):
     _util, bench = bench_modules
@@ -54,17 +73,27 @@ def test_fig5_bench_end_to_end_with_valid_sidecar(tmp_path, monkeypatch,
 
     bench.test_fig5_signed_distance(_StubBenchmark())
 
-    txt = tmp_path / "fig5_signed_distance.txt"
-    sidecar = tmp_path / "fig5_signed_distance.json"
-    assert txt.exists(), "bench did not write its text table"
-    assert sidecar.exists(), "bench did not write its JSON sidecar"
+    _check_sidecar(tmp_path, "fig5_signed_distance")
 
-    doc = json.loads(sidecar.read_text())
-    assert doc["schema"] == BENCH_SCHEMA_ID
-    assert validate_artifact(doc, BENCH_SCHEMA) == []
-    assert doc["name"] == "fig5_signed_distance"
-    assert doc["lines"][0] == doc["title"]
-    assert "spans" in doc["trace"] and "metrics" in doc["trace"]
 
-    jsonschema = pytest.importorskip("jsonschema")
-    jsonschema.validate(doc, BENCH_SCHEMA)
+def test_sbm_factor_bench_end_to_end_with_valid_sidecar(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import _util
+    import bench_sbm_factor as bench
+
+    monkeypatch.setattr(_util, "RESULTS_DIR", tmp_path)
+    # two smaller spheres and two repeats: same settings and table
+    monkeypatch.setattr(bench, "LEVELS", (3, 5))
+    monkeypatch.setattr(bench, "N_SPHERES", 2)
+    monkeypatch.setattr(bench, "REPEATS", 2)
+
+    bench.test_sbm_factor(_StubBenchmark())
+
+    doc = _check_sidecar(tmp_path, "sbm_factor")
+    per_sphere = [r for r in doc["records"] if r["sphere"] != "pooled"]
+    pooled = {r["setting"]: r for r in doc["records"]
+              if r["sphere"] == "pooled"}
+    assert len(per_sphere) == 4 and set(pooled) == {"COLAMD", "SBM_SPLU"}
+    for r in pooled.values():
+        assert {"factor_ms", "factor_iqr_ms", "solve1_ms", "solve8_iqr_ms",
+                "median_fill", "max_residual"} <= set(r)

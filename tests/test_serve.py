@@ -3,6 +3,7 @@ batching, deterministic scheduling and the service facade."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.serve import (
@@ -138,13 +139,15 @@ def traced():
     obs.reset()
 
 
-def _span_names(spans, out=None):
-    out = [] if out is None else out
+def _walk(spans):
     for sp in spans:
-        out.append(sp.name)
-        _span_names(sp.children, out)
-        _span_names(list(sp._merged.values()), out)
-    return out
+        yield sp
+        yield from _walk(sp.children)
+        yield from _walk(list(sp._merged.values()))
+
+
+def _span_names(spans):
+    return [sp.name for sp in _walk(spans)]
 
 
 def test_cache_hot_request_skips_all_build_work(traced):
@@ -424,3 +427,106 @@ def test_demo_workload_deterministic_and_mixed():
     assert [r.digest for r in demo_workload(30, seed=1)] != [
         r.digest for r in a
     ]
+
+
+# -- SBM direct factor ---------------------------------------------------
+
+# the cold SBM request pinned in tests/test_mesh_digests.py
+PINNED_SPHERE = {"shape": "sphere", "center": [0.52, 0.47, 0.5], "radius": 0.28}
+# the ROADMAP's levels-4/7 sphere (6760 elements)
+SPHERE_4_7 = {"shape": "sphere", "center": [5.0, 5.0, 5.0], "radius": 0.5,
+              "scale": 10.0}
+
+
+def _sbm_factor(geometry, base_level, boundary_level, p=1):
+    req = SolveRequest(geometry=geometry, pde="sbm", base_level=base_level,
+                       boundary_level=boundary_level, p=p)
+    factor, built = ensure_factor(build_entry(req), req)
+    assert built
+    return factor
+
+
+@pytest.mark.parametrize("geometry,levels", [
+    (PINNED_SPHERE, (3, 5)),
+    (DISK, (3, 5)),
+], ids=["3d-sphere-3-5", "2d-disk-3-5"])
+def test_sbm_served_solution_matches_colamd_and_library(geometry, levels):
+    """The symmetric-mode factor changes the pivot order, not the
+    answer: the served solution agrees with a COLAMD factor of the same
+    system and with the library's SBM solve to 1e-10 relative, and it
+    meets the request tolerance on the residual."""
+    from repro.fem import PoissonProblem
+
+    req = SolveRequest(geometry=geometry, pde="sbm", base_level=levels[0],
+                       boundary_level=levels[1], f=1.25, g=0.5)
+    entry = build_entry(req)
+    factor, _ = ensure_factor(entry, req)
+    out = solve_batch(factor, [req])
+    served = out.solutions[:, 0]
+    # the array under test is the one the service answers with
+    resp = SolverClient(SolverService()).solve(req)
+    assert resp.ok and resp.solution_digest == out.digest(0)
+
+    b = (req.f * factor.b_unit + req.g * factor.bs_unit)[factor.free]
+    b = b - req.g * factor.lift
+    u_colamd = spla.splu(factor.Aff.tocsc(), permc_spec="COLAMD").solve(b)
+    u = served[factor.free]
+    assert np.linalg.norm(u - u_colamd) <= 1e-10 * np.linalg.norm(u_colamd)
+    assert np.linalg.norm(b - factor.Aff @ u) <= req.tol * np.linalg.norm(b)
+
+    lib = PoissonProblem(entry.mesh, f=req.f, dirichlet=req.g,
+                         method="sbm").solve()
+    assert np.linalg.norm(served - lib) <= 1e-10 * np.linalg.norm(lib)
+
+
+def test_sbm_factor_fill_below_colamd():
+    factor = _sbm_factor(SPHERE_4_7, 4, 7)
+    colamd = spla.splu(factor.Aff.tocsc(), permc_spec="COLAMD")
+    assert factor.Aff.shape[0] > 5000
+    assert factor.lu.nnz < colamd.nnz
+
+
+@pytest.mark.parametrize("geometry,levels,p", [
+    (DISK, (3, 5), 1),
+    (DISK, (2, 4), 2),
+    (PINNED_SPHERE, (3, 5), 1),
+    (PINNED_SPHERE, (2, 4), 2),
+], ids=["2d-p1", "2d-p2", "3d-p1", "3d-p2"])
+def test_sbm_factor_multi_column_residual(geometry, levels, p):
+    """Eight random columns through one symmetric-mode factor.  The
+    normwise backward error is at rounding level on every system; the
+    relative residual also carries the conditioning (the 3-D p=2 system
+    reads 1.4e-12, against 2.0e-13 with COLAMD)."""
+    factor = _sbm_factor(geometry, *levels, p=p)
+    A = factor.Aff
+    B = np.random.default_rng(7).standard_normal((len(factor.free), 8))
+    X = factor.lu.solve(B)
+    R = A @ X - B
+    res = np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)
+    eta = np.abs(R).max(axis=0) / (
+        spla.norm(A, np.inf) * np.abs(X).max(axis=0) + np.abs(B).max(axis=0))
+    assert np.all(eta <= 1e-15)
+    assert np.all(res <= 1e-11)
+
+
+def test_sbm_factor_fill_on_span_and_factor_event(traced):
+    from repro.obs import EventLog
+
+    rec = EventLog()
+    svc = SolverService(recorder=rec)
+    svc.submit(_req(pde="poisson"))
+    svc.submit(_req(pde="sbm"))
+    done = svc.drain()
+    assert all(r.ok for r in done)
+    spans = {sp.attrs["pde"]: sp for sp in _walk(obs.TRACER.roots)
+             if sp.name == "serve.factor_build"}
+    factor = _sbm_factor(DISK, 2, 3)
+    fill = {"nnz": factor.Aff.nnz, "lu_nnz": factor.lu.nnz}
+    assert factor.lu.nnz > factor.Aff.nnz
+    for name, value in fill.items():
+        assert spans["sbm"].counters[name] == value
+        assert name not in spans["poisson"].counters
+    events = [ev for ev in rec.events if ev.kind == "factor"]
+    assert len(events) == 2
+    assert [{k: ev.get(k) for k in fill} for ev in events] == [
+        {"nnz": None, "lu_nnz": None}, fill]
